@@ -106,30 +106,31 @@ def all_system_names(system: System) -> set[str]:
                 names.add(event.principal.name)
 
     def visit_process(p: Process) -> None:
-        if isinstance(p, Output):
+        kind = type(p)  # exact types: ABC instance checks are slow
+        if kind is Output:
             visit_identifier(p.channel)
             for w in p.payload:
                 visit_identifier(w)
-        elif isinstance(p, InputSum):
+        elif kind is InputSum:
             visit_identifier(p.channel)
             for b in p.branches:
                 for x in b.binders:
                     names.add(x.name)
                 visit_process(b.continuation)
-        elif isinstance(p, Match):
+        elif kind is Match:
             visit_identifier(p.left)
             visit_identifier(p.right)
             visit_process(p.then_branch)
             visit_process(p.else_branch)
-        elif isinstance(p, Restriction):
+        elif kind is Restriction:
             names.add(p.channel.name)
             visit_process(p.body)
-        elif isinstance(p, Parallel):
+        elif kind is Parallel:
             for part in p.parts:
                 visit_process(part)
-        elif isinstance(p, Replication):
+        elif kind is Replication:
             visit_process(p.body)
-        elif isinstance(p, Inaction):
+        elif kind is Inaction:
             return
         else:
             raise TypeError(f"not a process: {p!r}")
@@ -322,12 +323,13 @@ def _flatten_process(
     components: list[System],
     taken: set[str] | None,
 ) -> None:
-    if isinstance(process, Parallel):
+    kind = type(process)
+    if kind is Parallel:
         for part in process.parts:
             _flatten_process(
                 principal, part, supply, restricted, components, taken
             )
-    elif isinstance(process, Restriction):
+    elif kind is Restriction:
         binder, renamed = _hoist_binder(process.channel, supply, taken)
         body = process.body
         if renamed:
@@ -336,9 +338,9 @@ def _flatten_process(
         _flatten_process(
             principal, body, supply, restricted, components, taken
         )
-    elif isinstance(process, Inaction):
+    elif kind is Inaction:
         return
-    elif isinstance(process, (Output, InputSum, Match, Replication)):
+    elif kind in (Output, InputSum, Match, Replication):
         components.append(Located(principal, process))
     else:
         raise TypeError(f"not a process: {process!r}")

@@ -28,14 +28,16 @@ __all__ = [
     "PlainValue",
     "NameSupply",
     "freshen",
+    "NAME_RE",
 ]
 
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
+# the one name rule: the lexer scans names with it, constructors check it
+NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_']*")
 
 
 def _check_name(name: str) -> None:
-    if not isinstance(name, str) or not _NAME_RE.fullmatch(name):
-        raise ValueError(f"invalid name {name!r}: must match {_NAME_RE.pattern}")
+    if not isinstance(name, str) or not NAME_RE.fullmatch(name):
+        raise ValueError(f"invalid name {name!r}: must match {NAME_RE.pattern}")
 
 
 @dataclass(frozen=True, slots=True)

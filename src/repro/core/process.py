@@ -299,33 +299,34 @@ def free_variables(process: Process) -> frozenset[Variable]:
 def free_channels(process: Process) -> frozenset[Channel]:
     """The free channel names of ``process`` (restriction binds)."""
 
-    if isinstance(process, Output):
+    kind = type(process)  # exact types: ABC instance checks are slow
+    if kind is Output:
         result = _identifier_channels(process.channel)
         for w in process.payload:
             result |= _identifier_channels(w)
         return result
-    if isinstance(process, InputSum):
+    if kind is InputSum:
         result = _identifier_channels(process.channel)
         for branch in process.branches:
             result |= free_channels(branch.continuation)
         return result
-    if isinstance(process, Match):
+    if kind is Match:
         return (
             _identifier_channels(process.left)
             | _identifier_channels(process.right)
             | free_channels(process.then_branch)
             | free_channels(process.else_branch)
         )
-    if isinstance(process, Restriction):
+    if kind is Restriction:
         return free_channels(process.body) - {process.channel}
-    if isinstance(process, Parallel):
+    if kind is Parallel:
         result: frozenset[Channel] = frozenset()
         for part in process.parts:
             result |= free_channels(part)
         return result
-    if isinstance(process, Replication):
+    if kind is Replication:
         return free_channels(process.body)
-    if isinstance(process, Inaction):
+    if kind is Inaction:
         return frozenset()
     raise TypeError(f"not a process: {process!r}")
 

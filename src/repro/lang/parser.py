@@ -16,11 +16,15 @@ Patterns inside input prefixes use the sample language of Table 3
 (:mod:`repro.patterns.parse`); the calculus itself remains parametric in
 the pattern language, but the concrete syntax commits to the paper's
 sample language.
+
+Prefix chains (input prefixes, ``(new c)`` and ``*``) are folded inside-out
+from an explicit stack, so a chain of any length parses without recursion.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
+from functools import partial
+from typing import Callable, Iterable
 
 from repro.core.errors import ParseError
 from repro.core.names import Channel, Principal, Variable
@@ -36,16 +40,10 @@ from repro.core.process import (
     Replication,
     Restriction,
 )
-from repro.core.provenance import (
-    EMPTY,
-    Event,
-    InputEvent,
-    OutputEvent,
-    Provenance,
-)
+from repro.core.provenance import EMPTY, Event, InputEvent, OutputEvent, Provenance
 from repro.core.system import Located, Message, SysParallel, SysRestriction, System
 from repro.core.values import AnnotatedValue, Identifier
-from repro.lang.lexer import Token, TokenStream, tokenize
+from repro.lang.lexer import TokenStream
 from repro.patterns.ast import AnyPattern
 from repro.patterns.parse import parse_pattern_stream
 
@@ -55,31 +53,22 @@ __all__ = ["parse_system", "parse_process", "parse_provenance", "parse_identifie
 def parse_system(source: str, principals: Iterable[str] = ()) -> System:
     """Parse a complete system term."""
 
-    tokens = tokenize(source)
-    parser = _Parser(TokenStream(tokens), _scan_principals(tokens, principals))
-    system = parser.system()
-    parser.stream.expect("EOF")
-    return system
+    stream = TokenStream(source)
+    return stream.parse(_Parser(stream, _scan_principals(stream, principals)).system)
 
 
 def parse_process(source: str, principals: Iterable[str] = ()) -> Process:
     """Parse a complete process term."""
 
-    tokens = tokenize(source)
-    parser = _Parser(TokenStream(tokens), set(principals))
-    process = parser.process()
-    parser.stream.expect("EOF")
-    return process
+    stream = TokenStream(source)
+    return stream.parse(_Parser(stream, set(principals)).process)
 
 
 def parse_provenance(source: str) -> Provenance:
     """Parse a braced provenance literal, e.g. ``{c?{}; s!{}}``."""
 
-    tokens = tokenize(source)
-    parser = _Parser(TokenStream(tokens), set())
-    provenance = parser.provenance()
-    parser.stream.expect("EOF")
-    return provenance
+    stream = TokenStream(source)
+    return stream.parse(_Parser(stream, set()).provenance)
 
 
 def parse_identifier(source: str, principals: Iterable[str] = ()) -> Identifier:
@@ -88,21 +77,18 @@ def parse_identifier(source: str, principals: Iterable[str] = ()) -> Identifier:
     Free bare names parse as channels unless listed in ``principals``.
     """
 
-    tokens = tokenize(source)
-    parser = _Parser(TokenStream(tokens), set(principals))
-    identifier = parser.identifier()
-    parser.stream.expect("EOF")
-    return identifier
+    stream = TokenStream(source)
+    return stream.parse(_Parser(stream, set(principals)).identifier)
 
 
-def _scan_principals(tokens: list[Token], extra: Iterable[str]) -> set[str]:
+def _scan_principals(stream: TokenStream, extra: Iterable[str]) -> set[str]:
     """Names immediately followed by ``[`` host located processes."""
 
-    principals = set(extra)
-    for index in range(len(tokens) - 1):
-        if tokens[index].kind == "NAME" and tokens[index + 1].kind == "[":
-            principals.add(tokens[index].text)
-    return principals
+    kinds, texts = stream.kinds, stream.texts  # kinds[-1] is EOF, not NAME
+    return set(extra).union(
+        texts[i - 1]
+        for i, kind in enumerate(kinds) if kind == "[" and kinds[i - 1] == "NAME"
+    )
 
 
 class _Parser:
@@ -123,53 +109,53 @@ class _Parser:
 
     def sysatom(self) -> System:
         stream = self.stream
-        if stream.at("("):
-            if stream.peek(1).kind == "new":
-                stream.expect("(")
-                stream.expect("new")
-                name = stream.expect("NAME").text
+        kind = stream.peek()
+        if kind == "(":
+            if stream.peek(1) == "new":
+                stream.index += 2
+                name = stream.expect("NAME")
                 stream.expect(")")
-                body = self.sysatom()
-                return SysRestriction(Channel(name), body)
-            stream.expect("(")
+                return SysRestriction(Channel(name), self.sysatom())
+            stream.advance()
             system = self.system()
             stream.expect(")")
             return system
-        if stream.at("NUMBER") and stream.current.text == "0":
+        if kind == "NUMBER" and stream.texts[stream.index] == "0":
             stream.advance()
             return SysParallel(())
-        if stream.at("NAME"):
-            if stream.peek(1).kind == "[":
-                name = stream.advance().text
+        if kind == "NAME":
+            if stream.peek(1) == "[":
+                name = stream.advance()
                 self.principals.add(name)
-                stream.expect("[")
+                stream.advance()
                 process = self.process()
                 stream.expect("]")
                 return Located(Principal(name), process)
-            if stream.peek(1).kind == "<<":
-                name = stream.advance().text
-                stream.expect("<<")
-                payload = self._value_list(">>")
+            if stream.peek(1) == "<<":
+                name = stream.advance()
+                stream.advance()
+                payload = self._list(self._value, ">>")
                 stream.expect(">>")
                 return Message(Channel(name), tuple(payload))
-        raise stream.error(
-            f"expected a system, found {stream.current.kind!r}"
-        )
+        raise stream.error(f"expected a system, found {kind!r}")
 
-    def _value_list(self, closer: str) -> list[AnnotatedValue]:
-        values: list[AnnotatedValue] = []
-        if self.stream.at(closer):
-            return values
-        while True:
-            identifier = self.identifier()
-            if not isinstance(identifier, AnnotatedValue):
-                raise self.stream.error(
-                    f"message payloads must be values, found variable"
-                    f" {identifier}"
-                )
-            values.append(identifier)
-            if not self.stream.accept(","):
-                return values
+    def _value(self) -> AnnotatedValue:
+        identifier = self.identifier()
+        if not isinstance(identifier, AnnotatedValue):
+            raise self.stream.error(
+                f"message payloads must be values, found variable {identifier}"
+            )
+        return identifier
+
+    def _list(self, item: Callable, closer: str, separator: str = ",") -> list:
+        """``item (separator item)*``, or nothing when ``closer`` is next."""
+
+        items = []
+        if not self.stream.at(closer):
+            items.append(item())
+            while self.stream.accept(separator):
+                items.append(item())
+        return items
 
     # -- processes ---------------------------------------------------------
 
@@ -206,43 +192,62 @@ class _Parser:
         raise self.stream.error("only input prefixes may be summed with '+'")
 
     def patom(self) -> Process:
+        """An atom under a chain of prefixes, folded without recursion.
+
+        Each prefix pushes the function that wraps its body; input binders
+        stay in scope until the atom ending the chain is parsed.
+        """
+
         stream = self.stream
-        if stream.at("("):
-            if stream.peek(1).kind == "new":
-                stream.expect("(")
-                stream.expect("new")
-                name = stream.expect("NAME").text
-                stream.expect(")")
-                return Restriction(Channel(name), self.patom())
-            stream.expect("(")
+        depth = len(self._bound)
+        wraps: list = []
+        try:
+            while True:
+                kind = stream.peek()
+                if kind == "(" and stream.peek(1) == "new":
+                    stream.index += 2
+                    wraps.append(partial(Restriction, Channel(stream.expect("NAME"))))
+                    stream.expect(")")
+                elif stream.accept("*"):
+                    wraps.append(Replication)
+                elif kind != "NAME":
+                    process = self._atom(kind)
+                    break
+                else:
+                    subject = self.identifier()
+                    if not stream.at("("):
+                        process = self._output(subject)
+                        break
+                    wraps.append(self._input_prefix(subject))
+        finally:
+            del self._bound[depth:]
+        for wrap in reversed(wraps):
+            process = wrap(process)
+        return process
+
+    def _atom(self, kind: str) -> Process:
+        stream = self.stream
+        if kind == "(":
+            stream.advance()
             process = self.process()
             stream.expect(")")
             return process
-        if stream.accept("*"):
-            return Replication(self.patom())
-        if stream.at("NUMBER") and stream.current.text == "0":
+        if kind == "NUMBER" and stream.texts[stream.index] == "0":
             stream.advance()
             return Inaction()
-        if stream.at("if"):
+        if kind == "if":
             return self._match()
-        if stream.at("NAME"):
-            subject = self.identifier()
-            if stream.accept("<"):
-                payload: list[Identifier] = []
-                if not stream.at(">"):
-                    while True:
-                        payload.append(self.identifier())
-                        if not stream.accept(","):
-                            break
-                stream.expect(">")
-                return Output(subject, tuple(payload))
-            if stream.at("("):
-                branch = self._input_branch()
-                return InputSum(subject, (branch,))
+        raise stream.error(f"expected a process, found {kind!r}")
+
+    def _output(self, subject: Identifier) -> Output:
+        stream = self.stream
+        if not stream.accept("<"):
             raise stream.error(
                 "expected '<' (output) or '(' (input) after channel"
             )
-        raise stream.error(f"expected a process, found {stream.current.kind!r}")
+        payload = self._list(self.identifier, ">")
+        stream.expect(">")
+        return Output(subject, tuple(payload))
 
     def _match(self) -> Process:
         stream = self.stream
@@ -256,48 +261,39 @@ class _Parser:
         else_branch = self.patom()
         return Match(left, right, then_branch, else_branch)
 
-    def _input_branch(self) -> InputBranch:
+    def _input_prefix(self, subject: Identifier):
+        """Parse ``(π as x, …).``, bind its binders and return its wrap."""
+
         stream = self.stream
         stream.expect("(")
-        patterns: list[Pattern] = []
-        binders: list[Variable] = []
-        if not stream.at(")"):
-            while True:
-                pattern, binder = self._binding()
-                patterns.append(pattern)
-                binders.append(binder)
-                if not stream.accept(","):
-                    break
+        bindings = self._list(self._binding, ")")
         stream.expect(")")
         stream.expect(".")
+        patterns = tuple(pattern for pattern, _ in bindings)
+        binders = tuple(binder for _, binder in bindings)
         self._bound.extend(binder.name for binder in binders)
-        try:
-            continuation = self.patom()
-        finally:
-            del self._bound[len(self._bound) - len(binders) :]
-        return InputBranch(tuple(patterns), tuple(binders), continuation)
+        return lambda body: InputSum(
+            subject, (InputBranch(patterns, binders, body),)
+        )
 
     def _binding(self) -> tuple[Pattern, Variable]:
         stream = self.stream
-        mark = stream.mark()
+        mark = stream.index
         try:
             pattern = parse_pattern_stream(stream)
             if stream.accept("as"):
-                name = stream.expect("NAME").text
-                return pattern, Variable(name)
+                return pattern, Variable(stream.expect("NAME"))
         except ParseError:
             pass
-        stream.reset(mark)
-        name = stream.expect("NAME").text
-        return AnyPattern(), Variable(name)
+        stream.index = mark
+        return AnyPattern(), Variable(stream.expect("NAME"))
 
     # -- identifiers and provenance ---------------------------------------
 
     def identifier(self) -> Identifier:
         stream = self.stream
-        name = stream.expect("NAME").text
-        if stream.at(":"):
-            stream.expect(":")
+        name = stream.expect("NAME")
+        if stream.accept(":"):
             provenance = self.provenance()
             return AnnotatedValue(self._plain(name), provenance)
         if name in self._bound:
@@ -312,18 +308,13 @@ class _Parser:
     def provenance(self) -> Provenance:
         stream = self.stream
         stream.expect("{")
-        events: list[Event] = []
-        if not stream.at("}"):
-            while True:
-                events.append(self._event())
-                if not stream.accept(";"):
-                    break
+        events = self._list(self._event, "}", ";")
         stream.expect("}")
         return Provenance(tuple(events))
 
     def _event(self) -> Event:
         stream = self.stream
-        name = stream.expect("NAME").text
+        name = stream.expect("NAME")
         principal = Principal(name)
         self.principals.add(name)
         if stream.accept("!"):

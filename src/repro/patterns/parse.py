@@ -33,7 +33,7 @@ from __future__ import annotations
 from repro.core.errors import ParseError
 from repro.core.names import Principal
 from repro.core.patterns import MatchNone, Pattern
-from repro.lang.lexer import TokenStream, tokenize
+from repro.lang.lexer import TokenStream
 from repro.patterns.ast import (
     Alternation,
     AnyPattern,
@@ -55,14 +55,15 @@ __all__ = ["parse_pattern", "parse_pattern_stream", "parse_group"]
 def parse_pattern(text: str) -> Pattern:
     """Parse a standalone pattern; input must be fully consumed."""
 
-    stream = TokenStream(tokenize(text))
-    pattern = parse_pattern_stream(stream)
-    stream.expect("EOF")
-    return pattern
+    stream = TokenStream(text)
+    return stream.parse(lambda: _alt(stream))
 
 
 def parse_pattern_stream(stream: TokenStream) -> Pattern:
-    """Parse a pattern starting at the stream's cursor (embeddable)."""
+    """Parse a pattern starting at the stream's cursor (embeddable).
+
+    Errors carry a token index; :meth:`TokenStream.parse` locates them.
+    """
 
     return _alt(stream)
 
@@ -97,23 +98,22 @@ def _primary(stream: TokenStream) -> Pattern:
         return Empty()
     if stream.accept("none"):
         return MatchNone()
-    if stream.at("NAME", "~"):
+    kind = stream.peek()
+    if kind == "NAME" or kind == "~":
         return _event(stream)
-    if stream.at("("):
+    if kind == "(":
         # Either a parenthesized group followed by !/? (an event) or a
         # parenthesized pattern.  Try the event reading first.
-        mark = stream.mark()
+        mark = stream.index
         try:
             return _event(stream)
         except ParseError:
-            stream.reset(mark)
-        stream.expect("(")
+            stream.index = mark
+        stream.advance()
         pattern = _alt(stream)
         stream.expect(")")
         return pattern
-    raise stream.error(
-        f"expected a pattern, found {stream.current.kind!r}"
-    )
+    raise stream.error(f"expected a pattern, found {kind!r}")
 
 
 def _event(stream: TokenStream) -> Pattern:
@@ -132,8 +132,8 @@ def parse_group(stream: TokenStream) -> Group:
     """Parse a group expression ``G`` (exported for analyses and tools)."""
 
     left = _gatom(stream)
-    while stream.at("+", "-"):
-        operator = stream.advance().kind
+    while stream.peek() in ("+", "-"):
+        operator = stream.advance()
         right = _gatom(stream)
         if operator == "+":
             left = GroupUnion(left, right)
@@ -146,14 +146,12 @@ def _gatom(stream: TokenStream) -> Group:
     if stream.accept("~"):
         return GroupAll()
     if stream.at("NAME"):
-        return GroupSingle(Principal(stream.advance().text))
+        return GroupSingle(Principal(stream.advance()))
     if stream.accept("("):
         group = parse_group(stream)
         stream.expect(")")
         return group
-    raise stream.error(
-        f"expected a group expression, found {stream.current.kind!r}"
-    )
+    raise stream.error(f"expected a group expression, found {stream.peek()!r}")
 
 
 def _sample(pattern: Pattern, stream: TokenStream) -> SamplePattern:

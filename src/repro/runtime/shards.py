@@ -586,8 +586,9 @@ def _build_worker_shard(spec: _ShardSpec):
         spec.index, partitioner, runtime, hub=None, lookahead=spec.lookahead
     )
     runtime.middleware.router = router
-    runtime.middleware.supply.reserve(all_system_names(system))
-    nf = normalize(system)
+    names = all_system_names(system)
+    runtime.middleware.supply.reserve(names)
+    nf = normalize(system, NameSupply(names))
     return runtime, router, partitioner, nf
 
 
@@ -955,8 +956,8 @@ class ShardedRuntime:
 
     def _build_inline(self) -> None:
         sequence = SequenceSource()
-        supply = NameSupply()
-        supply.reserve(all_system_names(self._system))
+        names = all_system_names(self._system)
+        supply = NameSupply(names)
         for index in range(self.n_shards):
             durable_kwargs = {}
             if self.durable_dir is not None:
@@ -995,7 +996,7 @@ class ShardedRuntime:
                 lookahead=self.lookahead,
             )
             self._shards.append(runtime)
-        nf = normalize(self._system)
+        nf = normalize(self._system, NameSupply(names))
         _deploy_partitioned(
             nf, self.partitioner, lambda shard: self._shards[shard]
         )

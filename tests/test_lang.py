@@ -6,7 +6,15 @@ from hypothesis import given, settings
 from repro.core.builder import av, ch, pr, var
 from repro.core.errors import ParseError
 from repro.core.names import Channel, Principal, Variable
-from repro.core.process import InputSum, Match, Output, Parallel, Replication, Restriction
+from repro.core.process import (
+    Inaction,
+    InputSum,
+    Match,
+    Output,
+    Parallel,
+    Replication,
+    Restriction,
+)
 from repro.core.provenance import EMPTY, InputEvent, OutputEvent, Provenance
 from repro.core.system import Located, Message, SysParallel, SysRestriction
 from repro.lang import (
@@ -168,6 +176,66 @@ class TestParseSystem:
     def test_trailing_junk_rejected(self):
         with pytest.raises(ParseError):
             parse_system("a[0] ]")
+
+
+class TestForeignCharacters:
+    """Only what the name rule accepts scans as a name."""
+
+    def test_non_ascii_principal_rejected_at_its_position(self):
+        with pytest.raises(ParseError) as info:
+            parse_system("é[0]")
+        assert (info.value.line, info.value.column) == (1, 1)
+
+    def test_non_ascii_name_character_rejected_at_its_position(self):
+        source = "a[c²<d>]"
+        with pytest.raises(ParseError) as info:
+            parse_system(source)
+        assert (info.value.line, info.value.column) == (1, source.index("²") + 1)
+
+
+def _depth(process) -> int:
+    """Nesting depth of a prefix chain, walked without recursion."""
+
+    depth = 0
+    while not isinstance(process, Inaction):
+        depth += 1
+        if isinstance(process, InputSum):
+            process = process.branches[0].continuation
+        else:
+            process = process.body
+    return depth
+
+
+class TestLongPrefixChains:
+    """Prefix chains fold from an explicit stack, so no depth overflows."""
+
+    DEPTH = 10_000
+
+    def test_input_prefix_chain(self):
+        source = "".join(f"c{i}(x{i})." for i in range(self.DEPTH)) + "0"
+        process = parse_process(source)
+        assert _depth(process) == self.DEPTH
+        last = process
+        for _ in range(self.DEPTH - 1):
+            last = last.branches[0].continuation
+        assert last.channel == av(ch(f"c{self.DEPTH - 1}"))
+        assert last.branches[0].binders == (Variable(f"x{self.DEPTH - 1}"),)
+
+    def test_binders_scope_over_the_rest_of_the_chain(self):
+        process = parse_process("c(x).d(y).x<y>")
+        inner = process.branches[0].continuation.branches[0].continuation
+        assert inner == Output(Variable("x"), (Variable("y"),))
+
+    def test_restriction_chain(self):
+        source = "".join(f"(new c{i})" for i in range(self.DEPTH)) + "0"
+        process = parse_process(source)
+        assert _depth(process) == self.DEPTH
+        assert isinstance(process, Restriction) and process.channel == Channel("c0")
+
+    def test_replication_chain(self):
+        process = parse_process("*" * self.DEPTH + "0")
+        assert _depth(process) == self.DEPTH
+        assert isinstance(process, Replication)
 
 
 class TestRoundTrip:
